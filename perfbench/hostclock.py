@@ -24,7 +24,7 @@ import time
 from typing import Callable, List, Optional, Tuple
 
 #: Seconds the reference loop takes on a host of nominal speed (calibrated
-#: once on a 2-vCPU sandbox; never change it, or all history shifts).
+#: once on a shared 2-vCPU host; never change it, or all history shifts).
 NOMINAL_REFERENCE_S = 0.0015
 
 #: Measured work between two reference samples.  Sampling this often halved
