@@ -11,8 +11,9 @@ patched in place and restored afterwards).  Each wrapped call records
 * ``wall``: wall time, so that ``wall - busy`` is the time the call waited.
 
 Generator entry points (``LSMBTree.scan``) are charged per ``next()``.  A
-target the engine no longer has is skipped and reported, so the traced run
-keeps working while the engine is refactored; its metrics then read 0.
+target the engine no longer has fails the traced run (``resolve_targets``
+raises) rather than reading 0, which would look like a layer that costs
+nothing; a refactor that moves an entry point has to update ``TARGETS``.
 """
 
 from __future__ import annotations
@@ -109,6 +110,32 @@ METRICS: Dict[str, Tuple[str, Tuple]] = {
 }
 
 
+def resolve_targets() -> List[Tuple[str, Any, str, Any]]:
+    """(layer name, owner, attribute, original) of every entry in ``TARGETS``;
+    raises ``LookupError`` naming every target the engine does not have."""
+    resolved = []
+    missing = []
+    for name, module_name, path in TARGETS:
+        try:
+            module = importlib.import_module(module_name)
+        except ImportError:
+            missing.append(f"{module_name}.{path}")
+            continue
+        owner_path, _, attribute = path.rpartition(".")
+        owner: Any = module
+        for part in owner_path.split(".") if owner_path else []:
+            owner = getattr(owner, part, None)
+        original = (owner.__dict__.get(attribute) if isinstance(owner, type)
+                    else getattr(owner, attribute, None))
+        if not callable(original):
+            missing.append(f"{module_name}.{path}")
+            continue
+        resolved.append((name, owner, attribute, original))
+    if missing:
+        raise LookupError("trace targets not found in the engine: " + ", ".join(missing))
+    return resolved
+
+
 class _Frame:
     __slots__ = ("name", "cpu", "wall", "child", "outermost")
 
@@ -127,7 +154,6 @@ class LayerTracer:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._patches: List[Tuple[Any, str, Any]] = []
-        self.missing: List[str] = []
         self.totals: Dict[str, List[float]] = {}
         self._cpu_started = 0.0
         self._registry_before: Dict[str, Dict[str, Any]] = {}
@@ -205,21 +231,7 @@ class LayerTracer:
 
     def start(self) -> None:
         """Install every wrapper and start the measured phase."""
-        for name, module_name, path in TARGETS:
-            try:
-                module = importlib.import_module(module_name)
-            except ImportError:
-                self.missing.append(f"{module_name}.{path}")
-                continue
-            owner_path, _, attribute = path.rpartition(".")
-            owner: Any = module
-            for part in owner_path.split(".") if owner_path else []:
-                owner = getattr(owner, part, None)
-            original = (owner.__dict__.get(attribute) if isinstance(owner, type)
-                        else getattr(owner, attribute, None))
-            if not callable(original):
-                self.missing.append(f"{module_name}.{path}")
-                continue
+        for name, owner, attribute, original in resolve_targets():
             wrapped = self._wrap(name, original)
             if isinstance(owner, type):
                 self._patch(owner, attribute, wrapped)

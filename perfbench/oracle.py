@@ -1,4 +1,5 @@
-"""Independent answers for the 12 Appendix A queries, and the result checks.
+"""Independent answers for the 12 Appendix A queries and the feed's
+updated-field query, and the result checks.
 
 Everything here is plain Python over the generated record dicts.  It imports
 nothing from the engine (in particular nothing from ``repro.query`` or
@@ -10,7 +11,8 @@ engine's rows with it and returns ``None`` when they agree or a short
 description of the first disagreement.
 
 * LIMIT checks are tie-aware: every returned group's value must be right, the
-  values must be sorted, and the last value must equal the true k-th value.
+  values must be sorted, and, rank by rank, equal the true top k values (so a
+  group may differ from the expected one only where the values tie).
 * Float aggregates are compared with a relative tolerance.
 * Row envelopes are ignored: ``{"count": n}`` and a bare ``n`` both match a
   scalar answer, and ``{"record": {...}}`` (or any one-field envelope) and a
@@ -74,6 +76,18 @@ def twitter_q3(records: Sequence[Dict[str, Any]]) -> Answer:
 
 def twitter_q4(records: Sequence[Dict[str, Any]]) -> Answer:
     return Answer("records", sorted(records, key=lambda record: record["timestamp_ms"]))
+
+
+def twitter_updated_fields(records: Sequence[Dict[str, Any]]) -> Answer:
+    """Counts of the fields ``twitter.generate_update`` adds, removes or retypes,
+    so a query that reads a stale version of an upserted record disagrees."""
+    return Answer("aggregates", {
+        "edited": sum(record.get("edit_history") is not None for record in records),
+        "located": sum(record.get("coordinates") is not None for record in records),
+        "numeric_retweets": sum(isinstance(record.get("retweet_count"), (int, float))
+                                and not isinstance(record.get("retweet_count"), bool)
+                                for record in records),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +171,8 @@ def sensors_q4(records: Sequence[Dict[str, Any]]) -> Answer:
 
 
 ANSWERS = {
-    "twitter": {"Q1": twitter_q1, "Q2": twitter_q2, "Q3": twitter_q3, "Q4": twitter_q4},
+    "twitter": {"Q1": twitter_q1, "Q2": twitter_q2, "Q3": twitter_q3, "Q4": twitter_q4,
+                "updates": twitter_updated_fields},
     "wos": {"Q1": wos_q1, "Q2": wos_q2, "Q3": wos_q3, "Q4": wos_q4},
     "sensors": {"Q1": sensors_q1, "Q2": sensors_q2, "Q3": sensors_q3, "Q4": sensors_q4},
 }
@@ -224,7 +239,7 @@ def _check_top(rows: Sequence[Any], answer: Answer) -> Optional[str]:
     if len(rows) != want:
         return f"expected {want} groups, got {len(rows)}"
     seen = set()
-    previous = None
+    values: List[Any] = []
     for row in rows:
         if not isinstance(row, dict) or answer.key not in row or answer.agg not in row:
             return f"malformed row {row!r}"
@@ -235,12 +250,15 @@ def _check_top(rows: Sequence[Any], answer: Answer) -> Optional[str]:
         seen.add(key)
         if key not in expected or not _close(value, expected[key]):
             return f"group {key!r}: expected {expected.get(key)}, got {value}"
-        if previous is not None and value > previous and not _close(value, previous):
+        if values and value > values[-1] and not _close(value, values[-1]):
             return f"not sorted descending at group {key!r}"
-        previous = value
-    true_kth = sorted(expected.values(), reverse=True)[want - 1] if want else None
-    if want and not _close(previous, true_kth):
-        return f"last value {previous} is not the true {want}th value {true_kth}"
+        values.append(value)
+    # Ties at the k-th value may be broken either way, but the returned values
+    # must be the true top k values: a group left out above the cut shows here.
+    true_top = sorted(expected.values(), reverse=True)[:want]
+    for rank, (value, true_value) in enumerate(zip(values, true_top), start=1):
+        if not _close(value, true_value):
+            return f"value at rank {rank} is {value}, the true one is {true_value}"
     return None
 
 
@@ -259,3 +277,19 @@ def altered(answer: Answer) -> Answer:
     changed = dict(answer.value)
     changed[ranked[0]] = changed[ranked[0]] + 1
     return Answer("top", changed, key=answer.key, agg=answer.agg)
+
+
+def without_top_group(rows: Sequence[Dict[str, Any]], answer: Answer) -> Optional[List[Any]]:
+    """``rows`` of a top-k answer with the largest group left out and the best
+    group not returned appended in its place (for the self-test).  ``None``
+    when the result would still be a right answer: the two groups tie."""
+    returned = {_hashable(row[answer.key]) for row in rows}
+    spare = [key for key in sorted(answer.value, key=answer.value.__getitem__, reverse=True)
+             if _hashable(key) not in returned]
+    if not rows:
+        return None
+    if spare:
+        if _close(answer.value[spare[0]], rows[0][answer.agg]):
+            return None
+        return list(rows[1:]) + [{answer.key: spare[0], answer.agg: answer.value[spare[0]]}]
+    return list(rows[1:])

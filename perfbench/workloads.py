@@ -54,7 +54,9 @@ COLD_LSM = _lsm(64 * 1024, "none")
 FEED_RECORDS = 3000
 FEED_UPDATE_PROBABILITY = 0.5
 FEED_WRITES_PER_QUERY = 50
-FEED_QUERY_CYCLE = ("Q1", "Q2", "Q3")
+#: Twitter Q1-Q3 read no field that ``generate_update`` changes; the fourth
+#: query counts those fields, so a read of a stale version shows in the feed.
+FEED_QUERY_CYCLE = ("Q1", "Q2", "Q3", "updates")
 
 COLD_PARTITIONS = 2
 COLD_RECORDS = {"twitter": 600, "wos": 300, "sensors": 240}
@@ -69,7 +71,8 @@ WARM_QUERIES = (("twitter", "Q1"), ("twitter", "Q2"), ("twitter", "Q3"),
 _GENERATORS = {"twitter": twitter.generate, "wos": wos.generate, "sensors": sensors.generate}
 _SEED_OFFSETS = {"twitter": 0, "wos": 1, "sensors": 2}
 
-# -- the Appendix A queries as SQL++ text (pinned here, not read from the engine) --
+# -- the Appendix A queries, and the feed's updated-field query, as SQL++ text
+#    (pinned here, not read from the engine) --
 
 _WOS_ADDRESS = "t.static_data.fullrecord_metadata.addresses.address_name"
 _WOS_SUBJECT = "t.static_data.fullrecord_metadata.category_info.subjects.subject"
@@ -83,6 +86,8 @@ QUERIES: Dict[str, Dict[str, str]] = {
               "WHERE SOME ht IN t.entities.hashtags SATISFIES lowercase(ht.text) = 'jobs' "
               "GROUP BY t.user.name AS uname ORDER BY c DESC LIMIT 10",
         "Q4": "SELECT * FROM Tweets AS t ORDER BY t.timestamp_ms",
+        "updates": "SELECT count(t.edit_history) AS edited, count(t.coordinates) AS located, "
+                   "count(abs(t.retweet_count)) AS numeric_retweets FROM Tweets AS t",
     },
     "wos": {
         "Q1": "SELECT VALUE count(*) FROM Publications AS t",
